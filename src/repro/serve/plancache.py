@@ -18,6 +18,12 @@ Cache keys digest everything that determines the compiled artifact --
 entry records the PR-4 :func:`~repro.metrics.manifest.plan_digest` of its
 compiled plan, so manifests and diffs can correlate a served batch with the
 exact plan that ran it.
+
+A profile-mode run (no NumPy arithmetic) depends only on the plan and the
+device spec, so a profile-mode entry is simulated once, the first time it
+executes: its :class:`~repro.gpusim.device.RunMetrics` (plus the task
+records, when the server traces) ride on the entry and serve every later
+batch in the bucket, and leave with the entry on eviction.
 """
 
 from __future__ import annotations
@@ -35,8 +41,10 @@ from repro.metrics.manifest import spec_dict
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.core.engine import BrickDLEngine
     from repro.core.plan import ExecutionPlan, Strategy
+    from repro.gpusim.device import RunMetrics
     from repro.gpusim.spec import GPUSpec
     from repro.metrics.registry import MetricsRegistry
+    from repro.profiling.collector import TaskRecord
 
 __all__ = ["PlanKey", "CompiledEntry", "CachePartition", "PlanCache"]
 
@@ -78,6 +86,10 @@ class CompiledEntry:
     # Wall-clock seconds the compile took (0.0 until measured); surfaced in
     # manifests and the per-stage breakdown, never diffed (wall time).
     compile_s: float = 0.0
+    # Profile-mode run of this plan, simulated on first execution:
+    # ``(metrics, task records)``, records kept only for traced servers.
+    # Not described, so manifests do not depend on whether it is filled.
+    profile: "tuple[RunMetrics, list[TaskRecord] | None] | None" = None
 
     def describe(self) -> dict:
         return {
@@ -224,10 +236,7 @@ class PlanCache:
         compile, with the loser waiting and then counting a hit -- it did
         reuse a cached plan.
         """
-        digest = key.digest()
-        with self._lock:
-            compile_lock = self._compile_locks.setdefault(digest, threading.Lock())
-        with compile_lock:
+        with self.key_lock(key):
             entry = self.get(key)
             if entry is not None:
                 return entry, True
@@ -238,6 +247,12 @@ class PlanCache:
                 self.registry.counter("serve_plan_compile_s").inc(entry.compile_s)
             self.put(entry)
             return entry, False
+
+    def key_lock(self, key: PlanKey) -> threading.Lock:
+        """The per-key lock that serializes ``key``'s compile (and, in the
+        server, its entry's first profile-mode run)."""
+        with self._lock:
+            return self._compile_locks.setdefault(key.digest(), threading.Lock())
 
     def snapshot(self) -> list[dict]:
         """Per-entry descriptions, partition then LRU-oldest first."""

@@ -53,6 +53,10 @@ __all__ = ["TenantSpec", "Scenario", "ScenarioReport", "SCENARIOS",
 # fingerprint drops them (mirrors what the manifest differ ignores).
 _VOLATILE_MANIFEST_KEYS = ("created", "git_sha")
 
+# Objective comparison ops: the checked value must be >= ("min") or <=
+# ("max") the bound.
+_OBJECTIVE_OPS = ("min", "max")
+
 
 @dataclass(frozen=True)
 class TenantSpec:
@@ -115,6 +119,11 @@ class Scenario:
             raise ValueError("models and model_weights must align")
         if not 0 < self.burst_frac < 1:
             raise ValueError(f"burst_frac must be in (0,1), got {self.burst_frac}")
+        for path, op, _bound in self.objectives:
+            if op not in _OBJECTIVE_OPS:
+                raise ValueError(
+                    f"scenario {self.name!r}: objective {path!r} has unknown "
+                    f"op {op!r} (expected one of {_OBJECTIVE_OPS})")
 
     # -- the arrival-rate shape ---------------------------------------------
     def rho(self, t: float, duration: float) -> float:
@@ -174,7 +183,9 @@ class ScenarioReport:
         violations = []
         for path, op, bound in self.objectives:
             value = _dig(summary, path)
-            if value is None:
+            if op not in _OBJECTIVE_OPS:
+                violations.append(f"{path}: unknown objective op {op!r}")
+            elif value is None:
                 violations.append(f"{path}: not found in report")
             elif op == "min" and value < bound:
                 violations.append(f"{path}: {value:.4f} < required {bound}")

@@ -15,7 +15,9 @@ Request lifecycle::
              -> PlanCache partition lookup by (model, batch bucket,
                 GPUSpec, override) -- per-model quotas, isolated eviction
              -> BrickDLEngine.run on a fresh Device built from the cached
-                entry's sector-adapted spec
+                entry's sector-adapted spec: every batch in functional
+                mode; in profile mode only the entry's first batch, whose
+                RunMetrics then serve every later batch in the bucket
              -> per-request response slices resolve the futures
 
 Degradation ladder: a request whose deadline expires while queued, or that
@@ -760,7 +762,6 @@ class InferenceServer:
             for i, req in enumerate(batch):
                 stacked[i:i + 1] = req.input
             inputs = stacked
-        device = Device(entry.device_spec)
         exec_span = None
         if tracer is not None:
             exec_span = tracer.start_span(
@@ -768,18 +769,37 @@ class InferenceServer:
                 device=device_index, bucket=bucket,
                 plan_digest=entry.plan_digest,
                 strategy=strategy.value if strategy is not None else None)
-        result = entry.engine.run(
-            inputs=inputs, functional=self.config.functional,
-            device=device, plan=entry.plan,
-            trace_ctx=exec_span.context() if exec_span is not None else None)
+
+        def simulate():
+            return entry.engine.run(
+                inputs=inputs, functional=self.config.functional,
+                device=Device(entry.device_spec), plan=entry.plan,
+                trace_ctx=exec_span.context() if exec_span is not None else None)
+
+        outputs = None
+        if self.config.functional:
+            result = simulate()
+            outputs, metrics, records = (result.outputs, result.metrics,
+                                         result.trace.records)
+        else:
+            # A profile run depends only on (plan, device spec): simulate the
+            # entry once, under the key lock so racing devices share it.
+            with self.cache.key_lock(key):
+                if entry.profile is None:
+                    result = simulate()
+                    entry.profile = (
+                        result.metrics,
+                        result.trace.records if self.tracer is not None
+                        else None)
+            metrics, records = entry.profile
         if exec_span is not None:
             tracer.end_span(exec_span,
-                            sim_time_s=round(result.metrics.total_time, 6),
-                            num_tasks=result.metrics.num_tasks)
-            if result.trace is not None:
-                tracer.emit_task_spans(result.trace.records, exec_span,
+                            sim_time_s=round(metrics.total_time, 6),
+                            num_tasks=metrics.num_tasks)
+            if records is not None:
+                tracer.emit_task_spans(records, exec_span,
                                        device=device_index)
-        return result.outputs, bucket, hit, result.metrics.total_time
+        return outputs, bucket, hit, metrics.total_time
 
     def _compile(self, key: PlanKey) -> CompiledEntry:
         from repro.bench.harness import adapt_sectors

@@ -7,8 +7,10 @@ volatile-field-stripped fingerprint).  Everything here runs on the
 virtual-time loop in profile mode, so wall time stays in seconds.
 """
 
+import pytest
+
 from repro.serve import SCENARIOS, run_scenario
-from repro.serve.scenarios import manifest_fingerprint
+from repro.serve.scenarios import Scenario, ScenarioReport, manifest_fingerprint
 
 
 def test_pack_covers_required_scenarios():
@@ -90,3 +92,33 @@ def test_report_render_and_check_shape():
     summary = report.summary()
     assert summary["requests"] == 60
     assert isinstance(report.check(), list)
+
+
+# Full fingerprints at (seed=7, requests=80), recorded before profile-mode
+# entries began reusing their first simulation: the serve path's cache must
+# leave every manifest bit-identical.
+GOLDEN_FINGERPRINTS = {
+    "burst": "f10d717a41c4838d069ba0e6656d8f41c5866fa7153c0a37717e7127f0ebdca2",
+    "diurnal": "eb5456d76ea9e3251ac7ad2a3a18be86fc5bc2be6fbb2477888f5486bd4d58d6",
+    "heavy_tail": "a1fc05262315542f12955b85f550f6a74505d21a51681f336c421f4a1111eb00",
+    "multitenant": "a1d2b19a6550b37be18e876d95284f6c9e7644b37520cdd1a4f08762ade7cd66",
+    "straggler": "9912dd403ee814ec4c96ca6f1be9e09c2342b10bae9f1b19204a190db65c7a73",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_FINGERPRINTS))
+def test_golden_fingerprint(name):
+    assert set(GOLDEN_FINGERPRINTS) == set(SCENARIOS)
+    report = run_scenario(name, seed=7, requests=80)
+    assert report.fingerprint == GOLDEN_FINGERPRINTS[name]
+
+
+def test_unknown_objective_op_is_rejected():
+    with pytest.raises(ValueError, match=r"'typo'.*'completed'.*'mn'"):
+        Scenario(name="typo", description="mistyped objective",
+                 objectives=(("completed", "mn", 1.0),))
+    report = ScenarioReport(
+        scenario="typo", seed=0, batching="edf", unit_s=1.0, duration_s=1.0,
+        requests=1, completed=1, shed=0, verified=0, fingerprint="",
+        objectives=(("completed", "mn", 1.0), ("completed", "min", 1.0)))
+    assert report.check() == ["completed: unknown objective op 'mn'"]

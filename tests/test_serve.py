@@ -506,3 +506,148 @@ def test_multi_model_server_rejects_unknown_model_and_dup_names():
 
     with pytest.raises(ExecutionError, match="not resident"):
         asyncio.run(run())
+
+
+# ---------------------------------------------------------------------------
+# simulate-once: profile-mode entries reuse their first run
+# ---------------------------------------------------------------------------
+
+def _count_engine_runs(monkeypatch, delay_s: float = 0.0) -> list:
+    """Wrap ``BrickDLEngine.run`` to record each call; ``delay_s`` widens
+    every run so concurrent devices overlap inside it."""
+    import time
+
+    from repro.core.engine import BrickDLEngine
+
+    calls = []
+    real_run = BrickDLEngine.run
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        time.sleep(delay_s)
+        return real_run(self, *args, **kwargs)
+
+    monkeypatch.setattr(BrickDLEngine, "run", counted)
+    return calls
+
+
+def _entry_for(server: InferenceServer, response) -> CompiledEntry:
+    """The cache entry that served ``response`` (fallbacks run cuDNN)."""
+    key = PlanKey(model=response.model, batch_bucket=response.batch_bucket,
+                  spec=server.spec,
+                  strategy=(Strategy.CUDNN if response.degraded
+                            else server.config.strategy),
+                  brick=server.config.brick)
+    return server.cache.partition(key.model).entries[key.digest()]
+
+
+def _mixed_session(server: InferenceServer, x=None):
+    """Waves of 1, 2, 4 and 2 requests, then 4 more plus two deadline-0
+    requests that expire queued behind them and take the fallback path."""
+    async def session():
+        async with server:
+            out = []
+            for size in (1, 2, 4, 2):
+                out += await asyncio.gather(*[server.submit(x) for _ in range(size)])
+            out += await asyncio.gather(
+                *[server.submit(x) for _ in range(4)],
+                *[server.submit(x, timeout_s=0.0) for _ in range(2)])
+            return out
+    return session()
+
+
+def test_profile_inline_simulates_each_entry_once(monkeypatch):
+    from repro.serve.vtime import run_virtual
+
+    calls = _count_engine_runs(monkeypatch)
+    server = profile_server(devices=1, max_batch=4, execution="inline")
+    responses = run_virtual(_mixed_session(server))
+    assert len(responses) == 15 and server.degraded == 2
+    assert len(calls) == server.cache.misses
+    assert server.cache.hits > 0
+    assert server.batches + server.degraded > len(calls)
+
+
+def test_profile_thread_cold_bucket_race_simulates_once(monkeypatch):
+    # Two devices take one cold bucket at once; the delay keeps the first
+    # simulation running while the second device reaches it.
+    calls = _count_engine_runs(monkeypatch, delay_s=0.05)
+    server = profile_server(devices=2, max_batch=2)
+
+    async def session():
+        async with server:
+            return await asyncio.gather(*[server.submit(None) for _ in range(4)])
+
+    responses = asyncio.run(session())
+    assert {r.batch_bucket for r in responses} == {2}
+    assert len({r.device for r in responses}) == 2
+    assert server.cache.misses == 1 and server.batches == 2
+    assert len(calls) == 1
+
+
+def test_functional_server_simulates_every_batch(monkeypatch):
+    calls = _count_engine_runs(monkeypatch)
+    graph = small_chain_graph(name="serve_func_once")
+    server = InferenceServer(
+        graph, config=ServeConfig(devices=1, max_batch=4, max_wait_s=0.005))
+    responses = asyncio.run(_mixed_session(server, input_for(graph)))
+    assert len(responses) == 15 and server.degraded == 2
+    assert server.cache.hits > 0
+    assert len(calls) == server.batches + server.degraded
+
+
+def test_cached_profile_equals_fresh_simulation():
+    import dataclasses
+
+    from repro.gpusim.device import Device, RunMetrics
+
+    server = profile_server(devices=2, max_batch=4)
+    responses = asyncio.run(_mixed_session(server))
+    assert server.cache.evictions == 0
+    entries = list(server.cache.partition(server.graph.name).entries.values())
+    assert len(entries) == server.cache.misses
+    for entry in entries:
+        cached, records = entry.profile
+        assert records is None   # untraced servers keep no task records
+        fresh = entry.engine.run(None, functional=False, plan=entry.plan,
+                                 device=Device(entry.device_spec)).metrics
+        for f in dataclasses.fields(RunMetrics):
+            assert getattr(fresh, f.name) == getattr(cached, f.name), f.name
+    for r in responses:
+        assert r.sim_time_s == _entry_for(server, r).profile[0].total_time
+
+
+def test_traced_cache_hits_still_emit_task_spans(tmp_path):
+    from repro.obs import Tracer, check_completeness, load_entries
+    from repro.obs.export import spans_of
+
+    tracer = Tracer(log_path=tmp_path / "spans.jsonl")
+    server = InferenceServer(
+        small_chain_graph(name="serve_traced"), tracer=tracer,
+        config=ServeConfig(functional=False, max_wait_s=0.005,
+                           devices=2, max_batch=4))
+    report = loadgen(server, requests=16, mode="closed", concurrency=4)
+    tracer.close()
+    assert report.completed == 16 and server.cache.hits > 0
+
+    entries = load_entries(tmp_path / "spans.jsonl")
+    completeness = check_completeness(entries)
+    assert completeness.ok, completeness.problems
+    spans = spans_of(entries)
+    children: dict = {}
+    for s in spans:
+        children.setdefault(s.parent_id, []).append(s)
+    tasks_by_hit: dict = {True: {}, False: {}}
+    for batch in (s for s in spans if s.kind == "batch"):
+        kids = {s.kind: s for s in children[batch.span_id]}
+        hit = kids["plan"].attrs["cache_hit"]
+        execute = kids["execute"]
+        tasks = [s for s in children.get(execute.span_id, ())
+                 if s.kind == "task"]
+        assert tasks, f"execute span {execute.span_id} has no task spans"
+        tasks_by_hit[hit].setdefault(execute.attrs["bucket"], set()).add(
+            len(tasks))
+    assert tasks_by_hit[True], "no cache-hit batches were traced"
+    for bucket, counts in tasks_by_hit[True].items():
+        # A cache hit replays the same task spans the first run emitted.
+        assert counts == tasks_by_hit[False][bucket]
