@@ -39,11 +39,7 @@ from repro.analysis.effects import (
 from repro.analysis.graph_lint import lint_graph
 from repro.analysis.plan_verify import verify_plan
 from repro.analysis.protocol import GridModel, ProtocolModel, explore_protocol
-from repro.analysis.replay import (
-    ReplayTask,
-    replay_tasks_from_chrome_trace,
-    replay_trace,
-)
+from repro.analysis.replay import replay_trace
 from repro.analysis.rewrite_validate import validate_rewrite
 
 
@@ -72,9 +68,7 @@ __all__ = [
     "GridModel",
     "ProtocolModel",
     "explore_protocol",
-    "ReplayTask",
     "replay_trace",
-    "replay_tasks_from_chrome_trace",
     "validate_rewrite",
     "ExecutionSanitizer",
 ]

@@ -2,10 +2,11 @@
 
 The small-model checker (:mod:`repro.analysis.protocol`) proves the tag
 protocol correct in the abstract; this pass checks that a *real* run obeyed
-it.  It consumes the task records of a
-:class:`~repro.profiling.TraceCollector` (or a Chrome-trace JSON exported
-from one) plus the :class:`ExecutionPlan` that produced the run, and
-asserts, for every memoized subgraph:
+it.  It consumes the :class:`~repro.profiling.TaskRecord` stream of a run
+(``TraceCollector.records``, or
+:func:`~repro.profiling.export.records_from_chrome_trace` of an exported
+trace) plus the :class:`ExecutionPlan` that produced the run, and asserts,
+for every memoized subgraph:
 
 * **exactly once** -- no (node, brick, batch) was computed twice, and every
   exit brick of every exit node was computed;
@@ -22,34 +23,23 @@ asserts, for every memoized subgraph:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.analysis.diagnostics import AnalysisReport, Diagnostic, Severity
 from repro.core.plan import ExecutionPlan, SubgraphPlan
 from repro.graph.regions import Region
+from repro.profiling.collector import TaskRecord
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.core.bricked import BrickGrid
     from repro.graph.ir import Graph
 
-__all__ = ["ReplayTask", "replay_trace", "replay_tasks_from_chrome_trace"]
+__all__ = ["replay_trace"]
 
 _PASS = "trace-replay"
 
-
-@dataclass(frozen=True)
-class ReplayTask:
-    """The slice of a task record the replay checker needs."""
-
-    seq: int
-    node_id: int
-    subgraph_index: int | None
-    brick: tuple[int, ...]
-    batch_index: int
-    worker: int
-    start_s: float
-    end_s: float
+# (node_id, brick position, batch index): the identity of one brick task.
+_BrickKey = tuple[int, tuple[int, ...], int]
 
 
 def _diag(report: AnalysisReport, code: str, message: str,
@@ -60,53 +50,26 @@ def _diag(report: AnalysisReport, code: str, message: str,
                           subgraph_index=subgraph_index))
 
 
-def _as_replay_tasks(records: Iterable) -> list[ReplayTask]:
-    """Adapt ``TaskRecord``-shaped objects (brick-stamped, memoized) to
-    :class:`ReplayTask`."""
-    out = []
-    for r in records:
-        if getattr(r, "strategy", None) != "memoized":
-            continue
-        if getattr(r, "brick", None) is None or r.node_id is None:
-            continue
-        out.append(ReplayTask(
-            seq=r.seq, node_id=r.node_id, subgraph_index=r.subgraph_index,
-            brick=tuple(r.brick),
-            batch_index=r.batch_index if r.batch_index is not None else 0,
-            worker=r.worker, start_s=r.start_s, end_s=r.end_s))
-    return out
+def _brick_key(r: TaskRecord) -> _BrickKey | None:
+    """The brick identity of a memoized, brick-stamped record (a missing
+    batch index counts as 0); ``None`` for every other record."""
+    if r.strategy != "memoized" or r.brick is None or r.node_id is None:
+        return None
+    return (r.node_id, r.brick, r.batch_index or 0)
 
 
-def replay_tasks_from_chrome_trace(doc: Mapping) -> list[ReplayTask]:
-    """Reconstruct replay tasks from an exported Chrome-trace JSON object."""
-    out = []
-    for e in doc.get("traceEvents", ()):
-        if e.get("ph") != "X" or e.get("cat") != "memoized":
-            continue
-        args = e.get("args", {})
-        if "brick" not in args or "node_id" not in args:
-            continue
-        out.append(ReplayTask(
-            seq=args["seq"], node_id=args["node_id"],
-            subgraph_index=args.get("subgraph"),
-            brick=tuple(args["brick"]), batch_index=args.get("batch", 0),
-            worker=e.get("tid", 0),
-            start_s=e["ts"] / 1e6, end_s=(e["ts"] + e["dur"]) / 1e6))
-    return out
-
-
-def replay_trace(plan: ExecutionPlan, records: Iterable) -> AnalysisReport:
+def replay_trace(plan: ExecutionPlan, records: Iterable[TaskRecord]) -> AnalysisReport:
     """Verify a run's memoized task stream against ``plan``.
 
     ``records`` may be ``TraceCollector.records`` or the output of
-    :func:`replay_tasks_from_chrome_trace`.
+    :func:`~repro.profiling.export.records_from_chrome_trace`.
     """
     report = AnalysisReport()
-    tasks = (list(records) if records and isinstance(next(iter(records), None), ReplayTask)
-             else _as_replay_tasks(records))
-    by_sub: dict[int | None, list[ReplayTask]] = {}
-    for t in tasks:
-        by_sub.setdefault(t.subgraph_index, []).append(t)
+    by_sub: dict[int | None, list[tuple[_BrickKey, TaskRecord]]] = {}
+    for r in records:
+        key = _brick_key(r)
+        if key is not None:
+            by_sub.setdefault(r.subgraph_index, []).append((key, r))
 
     checked = 0
     for sub in plan.subgraphs:
@@ -134,7 +97,8 @@ def _grids(graph: "Graph", sub: SubgraphPlan) -> dict[int, "BrickGrid"]:
     return grids
 
 
-def _replay_subgraph(graph: "Graph", sub: SubgraphPlan, tasks: list[ReplayTask],
+def _replay_subgraph(graph: "Graph", sub: SubgraphPlan,
+                     tasks: list[tuple[_BrickKey, TaskRecord]],
                      report: AnalysisReport) -> None:
     members = set(sub.subgraph.node_ids)
     grids = _grids(graph, sub)
@@ -145,34 +109,34 @@ def _replay_subgraph(graph: "Graph", sub: SubgraphPlan, tasks: list[ReplayTask],
         return
 
     # Index the producer of every (node, brick, batch); flag duplicates.
-    producer: dict[tuple[int, tuple[int, ...], int], ReplayTask] = {}
-    for t in sorted(tasks, key=lambda t: t.seq):
-        node = graph.node(t.node_id)
-        if t.node_id not in members:
+    producer: dict[_BrickKey, TaskRecord] = {}
+    for key, t in sorted(tasks, key=lambda kt: kt[1].seq):
+        nid, brick, batch = key
+        node = graph.node(nid)
+        if nid not in members:
             _diag(report, "replay.foreign-node",
                   f"subgraph {sub.index}: memoized task for non-member node "
-                  f"{node.name!r}", sub.index, t.node_id)
+                  f"{node.name!r}", sub.index, nid)
             continue
-        grid = grids.get(t.node_id)
-        if grid is None or len(t.brick) != len(grid.grid_shape) or any(
-                not 0 <= p < g for p, g in zip(t.brick, grid.grid_shape)):
+        grid = grids.get(nid)
+        if grid is None or len(brick) != len(grid.grid_shape) or any(
+                not 0 <= p < g for p, g in zip(brick, grid.grid_shape)):
             _diag(report, "replay.invalid-brick",
-                  f"subgraph {sub.index}: task brick {t.brick} outside the grid "
-                  f"of {node.name!r}", sub.index, t.node_id)
+                  f"subgraph {sub.index}: task brick {brick} outside the grid "
+                  f"of {node.name!r}", sub.index, nid)
             continue
-        if not 0 <= t.batch_index < node.spec.batch:
+        if not 0 <= batch < node.spec.batch:
             _diag(report, "replay.invalid-batch",
-                  f"subgraph {sub.index}: task batch {t.batch_index} outside "
+                  f"subgraph {sub.index}: task batch {batch} outside "
                   f"batch extent {node.spec.batch} of {node.name!r}",
-                  sub.index, t.node_id)
+                  sub.index, nid)
             continue
-        key = (t.node_id, t.brick, t.batch_index)
         if key in producer:
             _diag(report, "replay.double-compute",
-                  f"subgraph {sub.index}: brick {t.brick} of {node.name!r} "
-                  f"(batch {t.batch_index}) computed twice (tasks "
+                  f"subgraph {sub.index}: brick {brick} of {node.name!r} "
+                  f"(batch {batch}) computed twice (tasks "
                   f"{producer[key].seq} and {t.seq}): the exactly-once guarantee "
-                  f"is broken", sub.index, t.node_id)
+                  f"is broken", sub.index, nid)
             continue
         producer[key] = t
 
@@ -194,6 +158,7 @@ def _replay_subgraph(graph: "Graph", sub: SubgraphPlan, tasks: list[ReplayTask],
 
     # Happens-before: every member-brick dependency was produced earlier.
     for key, t in producer.items():
+        nid, brick, _ = key
         for dep_key in _member_deps(graph, members, grids, *key):
             p = producer.get(dep_key)
             dnid, dpos, _ = dep_key
@@ -201,20 +166,20 @@ def _replay_subgraph(graph: "Graph", sub: SubgraphPlan, tasks: list[ReplayTask],
                 _diag(report, "replay.missing-producer",
                       f"subgraph {sub.index}: task {t.seq} read brick {dpos} of "
                       f"{graph.node(dnid).name!r} which no task produced",
-                      sub.index, t.node_id)
+                      sub.index, nid)
                 continue
             if p.seq >= t.seq:
                 _diag(report, "replay.read-before-produce",
-                      f"subgraph {sub.index}: task {t.seq} ({graph.node(t.node_id).name!r} "
-                      f"brick {t.brick}) was submitted before its producer task "
+                      f"subgraph {sub.index}: task {t.seq} ({graph.node(nid).name!r} "
+                      f"brick {brick}) was submitted before its producer task "
                       f"{p.seq} ({graph.node(dnid).name!r} brick {dpos}): consumer "
                       f"read did not happen-after the producer's completion",
-                      sub.index, t.node_id)
+                      sub.index, nid)
             elif p.worker == t.worker and p.end_s > t.start_s + 1e-12:
                 _diag(report, "replay.lane-overlap",
                       f"subgraph {sub.index}: producer task {p.seq} and consumer "
                       f"task {t.seq} overlap on worker lane {t.worker}",
-                      sub.index, t.node_id)
+                      sub.index, nid)
 
 
 def _all_bricks(grid_shape: Sequence[int]) -> list[tuple[int, ...]]:
@@ -225,7 +190,7 @@ def _all_bricks(grid_shape: Sequence[int]) -> list[tuple[int, ...]]:
 
 
 def _member_deps(graph: "Graph", members: set[int], grids: dict, nid: int,
-                 gpos: tuple[int, ...], batch: int) -> "set[tuple[int, tuple[int, ...], int]]":
+                 gpos: tuple[int, ...], batch: int) -> Iterator[_BrickKey]:
     """Member bricks the task for (nid, gpos, batch) reads -- the same
     receptive-field derivation as ``MemoizedBrickExecutor._dependencies``,
     recomputed from the graph."""

@@ -96,14 +96,14 @@ def cmd_profile(args) -> int:
     from repro.core.engine import BrickDLEngine
     from repro.gpusim.device import Device
     from repro.gpusim.report import profile_report
-    from repro.profiling import TraceCollector, write_chrome_trace, write_summary_csv
+    from repro.profiling import write_chrome_trace, write_summary_csv
 
     graph = _build_model(args)
     engine = BrickDLEngine(graph, strategy_override=_strategy(args), brick_override=args.brick)
     plan = engine.compile()
-    device = Device(adapt_sectors(A100, plan))
-    trace = device.attach(TraceCollector())
-    result = engine.run(inputs=None, functional=False, device=device, plan=plan)
+    result = engine.run(inputs=None, functional=False, plan=plan,
+                        device=Device(adapt_sectors(A100, plan)))
+    trace = result.trace
     print(profile_report(result.metrics, A100, title=f"{args.model} / brickdl"))
     print()
     print(result.attribution_table())
@@ -164,7 +164,6 @@ def cmd_lint(args) -> int:
         ProtocolModel,
         explore_protocol,
         lint_graph,
-        replay_tasks_from_chrome_trace,
         replay_trace,
         verify_plan,
     )
@@ -185,17 +184,17 @@ def cmd_lint(args) -> int:
         import json
         import pathlib
 
+        from repro.profiling import records_from_chrome_trace
+
         doc = json.loads(pathlib.Path(args.replay).read_text())
-        report.extend(replay_trace(plan, replay_tasks_from_chrome_trace(doc)))
+        report.extend(replay_trace(plan, records_from_chrome_trace(doc)))
     elif args.run:
         from repro.bench.harness import adapt_sectors
         from repro.gpusim.device import Device
-        from repro.profiling import TraceCollector
 
-        device = Device(adapt_sectors(A100, plan))
-        trace = device.attach(TraceCollector())
-        engine.run(inputs=None, functional=False, device=device, plan=plan)
-        report.extend(replay_trace(plan, trace.records))
+        result = engine.run(inputs=None, functional=False, plan=plan,
+                            device=Device(adapt_sectors(A100, plan)))
+        report.extend(replay_trace(plan, result.trace.records))
     if args.sanitize:
         result = _sanitized_run(graph, plan, strategy, args.brick)
         report.extend(result.sanitizer_report)

@@ -60,8 +60,9 @@ class EngineResult:
     automatic analogue of the paper's ResNet-50 case study): a list aligned
     with ``plan.subgraphs`` of dicts with ``dram_txns``, ``flops``,
     ``atomics_*``, ``num_tasks``, ``dram_time_s`` etc., rolled up from the
-    run's :class:`~repro.profiling.TraceCollector` (``trace``), which also
-    holds the full per-task timeline for export.
+    run's :class:`~repro.profiling.TraceCollector` (``trace``).  Its
+    ``records`` are the run's only per-task record (the device keeps no
+    tasks): the timeline for export and the input of trace replay.
     """
 
     outputs: dict[str, np.ndarray] | None

@@ -315,7 +315,6 @@ class MemoizedBrickExecutor:
         self._stamp_sync(task, frame, own_offset)
         task.flops = flops
         task.atomics_compulsory = 2
-        task.visits = 0  # visits are tracked globally by the scheduler
 
         if self.functional:
             fill = pad_value_for(node.op)

@@ -7,6 +7,13 @@ is submitted, so L2 state evolves in issue order -- the property merged
 execution exploits), and finally call :meth:`finish` to obtain the
 :class:`RunMetrics` with counters and the paper-style time breakdown.
 
+The device does not keep submitted tasks: :meth:`submit` retains only the
+task's modeled duration and flop count, which is all :meth:`finish` needs.
+The per-task record that outlives a submit is the
+:class:`~repro.profiling.TaskRecord` an attached
+:class:`~repro.profiling.TraceCollector` writes (the engine always attaches
+one).
+
 Observability: the device maintains per-worker lane clocks and stamps every
 submitted task with an issue-order ``(start_s, end_s)`` from the
 ``spec.task_time`` model, so each run yields a timeline.  Attached observers
@@ -80,7 +87,9 @@ class Device:
         # scopes change rarely relative to task submission, so the hot path
         # is one dict hit plus attribute adds.
         self._metric_rows: dict[tuple[int, int | None], tuple] = {}
-        self._tasks: list[Task] = []
+        # All finish() needs of the submitted tasks (the device keeps none).
+        self._durations: list[float] = []
+        self._total_flops = 0.0
         self._sync_count = 0
         self._extra_overhead = 0.0
         self._finished = False
@@ -206,7 +215,8 @@ class Device:
         if self._trace_ctx is not None:
             task.trace = self._trace_ctx
 
-        self._tasks.append(task)
+        self._durations.append(duration)
+        self._total_flops += task.flops
         deltas = (c.l1_txns - before[0], c.l2_txns - before[1],
                   c.dram_read_txns - before[2], c.dram_write_txns - before[3],
                   self.atomics.compulsory - before[4],
@@ -245,37 +255,7 @@ class Device:
     def add_overhead(self, seconds: float) -> None:
         self._extra_overhead += seconds
 
-    # -- incremental attribution ------------------------------------------------
-    def snapshot(self) -> tuple:
-        """Opaque cursor of the counters, for per-phase attribution."""
-        c = self.memory.counters
-        return (c.l1_txns, c.l2_txns, c.dram_read_txns, c.dram_write_txns,
-                self.atomics.compulsory, self.atomics.conflict,
-                len(self._tasks), self._sync_count, self._extra_overhead)
-
-    def delta_since(self, snap: tuple) -> dict:
-        """Counter growth since :meth:`snapshot` (for phase breakdowns)."""
-        c = self.memory.counters
-        tasks = self._tasks[snap[6]:]
-        return {
-            "l1_txns": c.l1_txns - snap[0],
-            "l2_txns": c.l2_txns - snap[1],
-            "dram_txns": (c.dram_read_txns - snap[2]) + (c.dram_write_txns - snap[3]),
-            "atomics_compulsory": self.atomics.compulsory - snap[4],
-            "atomics_conflict": self.atomics.conflict - snap[5],
-            "num_tasks": len(tasks),
-            "flops": float(sum(t.flops for t in tasks)),
-            "syncs": self._sync_count - snap[7],
-            "overhead_s": self._extra_overhead - snap[8],
-            "dram_time_s": ((c.dram_read_txns - snap[2]) + (c.dram_write_txns - snap[3]))
-                           / self.spec.txn_rate,
-        }
-
     # -- results ------------------------------------------------------------
-    @property
-    def tasks(self) -> tuple[Task, ...]:
-        return tuple(self._tasks)
-
     def finish(self) -> RunMetrics:
         """Flush persistent dirty data and compute the final breakdown."""
         first = not self._finished
@@ -285,7 +265,7 @@ class Device:
             self._export_cache_stats()
         breakdown = compute_breakdown(
             self.spec,
-            self._tasks,
+            self._durations,
             self.memory.counters,
             self.atomics,
             sync_count=self._sync_count,
@@ -295,8 +275,8 @@ class Device:
             memory=self.memory.counters,
             atomics=self.atomics,
             time=breakdown,
-            num_tasks=len(self._tasks),
-            total_flops=float(sum(t.flops for t in self._tasks)),
+            num_tasks=len(self._durations),
+            total_flops=float(self._total_flops),
         )
         if first:
             for obs in self.observers:

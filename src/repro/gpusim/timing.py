@@ -1,4 +1,4 @@
-"""Device timing model: tasks + counters -> the paper's time breakdown.
+"""Device timing model: task durations + counters -> the paper's time breakdown.
 
 The paper's case studies (Figs. 8, 10, 11) plot, for each configuration, a
 *memory* bar (DRAM time + idle) and a *computation* bar (modeled compute +
@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.gpusim.atomics import AtomicCounters
 from repro.gpusim.memory import MemoryCounters
 from repro.gpusim.spec import GPUSpec
-from repro.gpusim.trace import Task
 
 __all__ = ["TimeBreakdown", "schedule_makespan", "compute_breakdown"]
 
@@ -71,7 +70,7 @@ class TimeBreakdown:
 
 def compute_breakdown(
     spec: GPUSpec,
-    tasks: Sequence[Task],
+    durations: Iterable[float],
     memory: MemoryCounters,
     atomics: AtomicCounters,
     sync_count: int = 0,
@@ -79,17 +78,18 @@ def compute_breakdown(
 ) -> TimeBreakdown:
     """Derive the full breakdown for one run.
 
+    ``durations`` are the run's per-task ``spec.task_time`` values in
+    submission order (the device records one per submitted task).
     ``sync_count`` is the number of device-wide synchronizations the
     execution strategy required (per operator for the baseline, per subgraph
     for merged execution).  ``extra_overhead_s`` captures strategy-specific
     serial overheads (e.g. host-side graph bookkeeping).
     """
     dram_time = memory.dram_txns / spec.txn_rate
-    compute_time = schedule_makespan(spec, (spec.task_time(t.flops, t.calls) for t in tasks))
+    compute_time = schedule_makespan(spec, durations)
     atomic_comp = atomics.compulsory_time(spec)
     atomic_conf = atomics.conflict_time(spec)
-    visit_overhead = sum(t.visits for t in tasks) * spec.memo_visit_s
-    overhead = sync_count * spec.sync_time_s + visit_overhead + extra_overhead_s
+    overhead = sync_count * spec.sync_time_s + extra_overhead_s
 
     busy = compute_time + atomic_comp + atomic_conf
     hidden = spec.overlap_efficiency * min(dram_time, busy)

@@ -197,8 +197,6 @@ class Task:
     ``atomics_compulsory`` / ``atomics_conflict`` follow the paper's 3C-style
     split (section 4.4): two compulsory CAS per memoized brick (acquire +
     release), conflicts when a dependent brick is found in-progress.
-    ``visits`` counts memo-table lookups (recursion overhead, lands in the
-    "Other" time).
 
     Structured identity (no label parsing needed downstream):
 
@@ -231,7 +229,6 @@ class Task:
     accesses: list[Access] = field(default_factory=list)
     atomics_compulsory: int = 0
     atomics_conflict: int = 0
-    visits: int = 0
     calls: int = 1  # fine-grained kernel invocations inside this task
     node_id: int | None = None
     subgraph_index: int | None = None

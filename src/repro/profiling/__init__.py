@@ -6,17 +6,15 @@ transaction counts, atomic traffic, and per-subgraph time breakdowns
 observer API on the simulated :class:`~repro.gpusim.device.Device`, a
 default :class:`TraceCollector` that records every task with structured
 identity and exact counter attribution, and exporters to Chrome-trace /
-Perfetto JSON and CSV.
+Perfetto JSON and CSV (:func:`records_from_chrome_trace` reads the task
+records back).
 
-Typical use::
+Typical use (the engine always attaches a collector)::
 
-    from repro.gpusim.device import Device
-    from repro.profiling import TraceCollector, write_chrome_trace
+    from repro.profiling import write_chrome_trace
 
-    device = Device()
-    trace = device.attach(TraceCollector())
-    result = engine.run(inputs=None, functional=False, device=device)
-    write_chrome_trace(trace, "run.json",
+    result = engine.run(inputs=None, functional=False)
+    write_chrome_trace(result.trace, "run.json",
                        names={n.node_id: n.name for n in graph.nodes})
 
 or from the command line: ``repro profile resnet50 --trace run.json``.
@@ -26,6 +24,7 @@ from repro.profiling.collector import AllocEvent, SyncEvent, TaskRecord, TraceCo
 from repro.profiling.observer import DeviceObserver
 from repro.profiling.export import (
     chrome_trace,
+    records_from_chrome_trace,
     summary_csv,
     write_chrome_trace,
     write_summary_csv,
@@ -38,6 +37,7 @@ __all__ = [
     "AllocEvent",
     "SyncEvent",
     "chrome_trace",
+    "records_from_chrome_trace",
     "summary_csv",
     "write_chrome_trace",
     "write_summary_csv",

@@ -4,15 +4,17 @@
 that accumulates one :class:`TaskRecord` per submitted task (identity,
 timeline position, counter deltas) plus the *residual* counter growth that
 happens outside any task -- the memoized scheduler's bulk conflict-CAS
-accounting, recursion overhead, and the final write-back flush.  Every
+accounting, recursion overhead, and the final write-back flush.  The record
+is the only per-task data that outlives ``Device.submit``: the device keeps
+no tasks, and the exporters and the trace-replay checker read records.  Every
 transaction and atomic the device counts lands in exactly one record or one
 residual bucket, so the rollups reconcile exactly with the run's
 :class:`~repro.gpusim.device.RunMetrics`:
 
 * :meth:`per_node` -- attribution by graph node (the trace-level analogue of
   reading Nsight Compute counters per kernel, paper section 4),
-* :meth:`per_subgraph` -- attribution by plan entry, same keys as the
-  engine's historical ``Device.delta_since`` dicts,
+* :meth:`per_subgraph` -- attribution by plan entry (the engine's
+  ``EngineResult.per_subgraph``),
 * :meth:`totals` -- whole-run sums for reconciliation checks.
 """
 
@@ -229,12 +231,8 @@ class TraceCollector(DeviceObserver):
         return table
 
     def per_subgraph(self, count: int | None = None) -> list[dict]:
-        """Per-plan-entry attribution, one dict per subgraph index.
-
-        Same keys as the historical ``Device.delta_since`` dicts the engine
-        used to build by hand, so :meth:`EngineResult.attribution_table`
-        renders unchanged.
-        """
+        """Per-plan-entry attribution, one dict per subgraph index: the
+        rows :meth:`EngineResult.attribution_table` renders."""
         indices = [r.subgraph_index for r in self.records if r.subgraph_index is not None]
         indices += [k for k in self.residuals if isinstance(k, int)]
         indices += [s.subgraph_index for s in self.syncs if s.subgraph_index is not None]

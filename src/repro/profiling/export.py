@@ -11,6 +11,8 @@
 * instant events for device-wide synchronization barriers.
 
 Timestamps are microseconds of simulated time (issue-order lane clocks).
+``records_from_chrome_trace`` is the inverse of ``chrome_trace`` for the task
+events, so this module is the one place that knows the trace-args schema.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ import json
 import pathlib
 from typing import Mapping, Sequence
 
-from repro.profiling.collector import TraceCollector
+from repro.profiling.collector import TaskRecord, TraceCollector
 
-__all__ = ["chrome_trace", "write_chrome_trace", "summary_csv", "write_summary_csv"]
+__all__ = ["chrome_trace", "records_from_chrome_trace", "write_chrome_trace",
+           "summary_csv", "write_summary_csv"]
 
 _PID = 0
 
@@ -120,6 +123,40 @@ def chrome_trace(collector: TraceCollector,
     return {"traceEvents": events, "displayTimeUnit": "ms",
             "otherData": {"generator": "repro.profiling",
                           "spec": collector.spec.name if collector.spec else None}}
+
+
+def records_from_chrome_trace(doc: Mapping) -> list[TaskRecord]:
+    """Rebuild the task records from a :func:`chrome_trace` object.
+
+    Every field round-trips except the times, which pass through
+    microseconds (so ``start_s``/``end_s`` agree to rounding), and
+    ``label``, which is the event name (the node's display name when the
+    trace was written with ``names``).
+    """
+    records = []
+    for e in doc.get("traceEvents", ()):
+        args = e.get("args", {})
+        if e.get("ph") != "X" or "seq" not in args:
+            continue
+        trace_id = args.get("trace_id")
+        brick = args.get("brick")
+        records.append(TaskRecord(
+            seq=args["seq"], label=e["name"], node_id=args.get("node_id"),
+            subgraph_index=args.get("subgraph"),
+            strategy=None if e["cat"] == "task" else e["cat"],
+            worker=e["tid"],
+            start_s=e["ts"] / 1e6, end_s=(e["ts"] + e["dur"]) / 1e6,
+            flops=args["flops"], calls=args["calls"],
+            l1_txns=args["l1_txns"], l2_txns=args["l2_txns"],
+            dram_txns=args["dram_txns"],
+            atomics_compulsory=args.get("atomics_compulsory", 0),
+            atomics_conflict=args.get("atomics_conflict", 0),
+            bytes_read=args["bytes_read"], bytes_written=args["bytes_written"],
+            brick=None if brick is None else tuple(brick),
+            batch_index=args.get("batch"),
+            trace=None if trace_id is None else (trace_id, args["parent_span"]),
+        ))
+    return records
 
 
 def write_chrome_trace(collector: TraceCollector, path: str | pathlib.Path,

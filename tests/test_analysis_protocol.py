@@ -16,7 +16,6 @@ from repro.analysis import (
     GridModel,
     ProtocolModel,
     explore_protocol,
-    replay_tasks_from_chrome_trace,
     replay_trace,
 )
 from repro.bench.harness import adapt_sectors
@@ -24,7 +23,7 @@ from repro.core.engine import BrickDLEngine
 from repro.gpusim.device import Device
 from repro.gpusim.spec import A100
 from repro.models import build
-from repro.profiling import TraceCollector, chrome_trace
+from repro.profiling import TraceCollector, chrome_trace, records_from_chrome_trace
 
 
 class TestExplorer:
@@ -90,9 +89,9 @@ class TestReplay:
 
     def test_chrome_trace_roundtrip(self, resnet_run):
         plan, trace = resnet_run
-        tasks = replay_tasks_from_chrome_trace(chrome_trace(trace))
-        assert tasks
-        report = replay_trace(plan, tasks)
+        records = records_from_chrome_trace(chrome_trace(trace))
+        assert records
+        report = replay_trace(plan, records)
         assert report.ok, report.summary("chrome roundtrip")
 
     def _memo_records(self, trace):

@@ -19,7 +19,7 @@ from repro.core.tuner import tune_plan
 from repro.core.wavefront import is_chain_subgraph
 from repro.gpusim.device import Device
 from repro.gpusim.spec import A100
-from testlib import input_for, random_dag, residual_graph, small_chain_graph
+from testlib import TaskCapture, input_for, random_dag, residual_graph, small_chain_graph
 
 STRATEGIES = (None, Strategy.PADDED, Strategy.MEMOIZED, Strategy.WAVEFRONT)
 
@@ -184,8 +184,9 @@ def _assert_contained(graph, strategy):
     report = analyze_effects(plan, collect_sets=True)
     assert report.ok, [d.render() for d in report.errors]
     device = Device(adapt_sectors(A100, plan))
+    captured = device.attach(TaskCapture())
     engine.run(inputs=None, functional=False, device=device, plan=plan)
-    for task in device.tasks:
+    for task in captured.tasks:
         for access in task.accesses:
             if access.on_chip or access.nbytes == 0:
                 continue

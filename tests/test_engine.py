@@ -129,7 +129,7 @@ class TestRun:
         g = small_chain_graph(size=48)
         dev = Device(A100)
         res = BrickDLEngine(g).run(inputs=None, functional=False, device=dev)
-        assert res.metrics.num_tasks == len(dev.tasks)
+        assert res.metrics.num_tasks == dev.finish().num_tasks
 
 
 class TestAttribution:

@@ -1,5 +1,8 @@
 """Simulated-GPU substrate tests: caches, memory system, timing, device."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.gpusim.atomics import AtomicCounters, cas_microbenchmark_time
@@ -161,10 +164,10 @@ class TestTiming:
         from repro.gpusim.memory import MemoryCounters
 
         spec = A100
-        tasks = [Task("t", flops=1e6) for _ in range(10)]
+        durations = [spec.task_time(1e6) for _ in range(10)]
         mem = MemoryCounters(l1_txns=100, l2_txns=80, dram_read_txns=50, dram_write_txns=20)
         atomics = AtomicCounters(compulsory=100, conflict=30)
-        bd = compute_breakdown(spec, tasks, mem, atomics, sync_count=2)
+        bd = compute_breakdown(spec, durations, mem, atomics, sync_count=2)
         assert bd.total == pytest.approx(bd.idle + bd.dram)
         assert bd.total == pytest.approx(
             bd.other + bd.compute + bd.atomics_compulsory + bd.atomics_conflict
@@ -189,6 +192,33 @@ class TestDevice:
         assert m.num_tasks == 1
         assert m.atomics.compulsory == 2
         assert m.total_time > 0
+
+    @pytest.mark.parametrize("sim_path", ["scalar", "vectorized"])
+    def test_submitted_task_is_not_retained(self, sim_path):
+        dev = Device(A100, sim_path=sim_path)
+        buf = dev.allocate("x", 8192)
+        t = Task("t", flops=1000)
+        t.read_batch(buf, [0, 2048], 2048)
+        t.write(buf, 4096, 4096)
+        dev.submit(t)
+        ref = weakref.ref(t)
+        del t
+        gc.collect()
+        assert ref() is None
+        assert dev.finish().num_tasks == 1
+
+    def test_finish_matches_metrics_recomputed_from_tasks(self):
+        from repro.core.engine import BrickDLEngine
+        from testlib import TaskCapture, residual_graph
+
+        dev = Device(A100)
+        captured = dev.attach(TaskCapture())
+        m = BrickDLEngine(residual_graph()).run(inputs=None, functional=False, device=dev).metrics
+        tasks = captured.tasks
+        assert m.num_tasks == len(tasks) > 0
+        assert m.total_flops == float(sum(t.flops for t in tasks))
+        assert m.time.compute == schedule_makespan(
+            A100, [A100.task_time(t.flops, t.calls) for t in tasks])
 
     def test_atomic_microbenchmark_matches_paper(self):
         _, per_op = cas_microbenchmark_time(A100)

@@ -63,7 +63,7 @@ class TestFig1RedundantComputation:
         ex = MemoizedBrickExecutor(view, (8,), dev, {0: entry}, {}, functional=True)
         ex.run()
         total_bricks = sum(h.grid.num_bricks for h in ex.memo.values())
-        assert len(dev.tasks) == total_bricks  # exactly once, never thrice
+        assert dev.finish().num_tasks == total_bricks  # exactly once, never thrice
 
     def test_merged_1d_exact(self):
         g = fig1_graph()

@@ -2,6 +2,7 @@
 trace-export schema, run-to-run determinism, and the CLI/harness wiring."""
 
 import csv
+import dataclasses
 import io
 import json
 
@@ -11,7 +12,8 @@ from repro.core.engine import BrickDLEngine, EngineResult
 from repro.core.plan import Strategy
 from repro.gpusim.device import Device
 from repro.gpusim.spec import A100
-from repro.profiling import TraceCollector, chrome_trace, summary_csv
+from repro.gpusim.trace import Task
+from repro.profiling import TraceCollector, chrome_trace, records_from_chrome_trace, summary_csv
 
 from testlib import small_chain_graph
 
@@ -156,6 +158,27 @@ class TestExporters:
         assert dram == sorted(dram)
         # The last sample is the sum of all per-task DRAM deltas.
         assert dram[-1] == sum(r.dram_txns for r in collector.records)
+
+    def test_records_round_trip_through_chrome_trace(self):
+        engine = BrickDLEngine(small_chain_graph(size=48), strategy_override=Strategy.MEMOIZED)
+        device = Device(A100)
+        device.set_trace_context("trace-7", "span-3")
+        collector = device.attach(TraceCollector())
+        device.submit(Task("unscoped", flops=1.0))  # strategy stays None
+        engine.run(inputs=None, functional=False, device=device)
+        records = collector.records
+        assert any(r.strategy is None for r in records)
+        assert any(r.brick is not None and r.batch_index is not None for r in records)
+        assert any(r.atomics_compulsory for r in records)
+        assert all(r.trace == ("trace-7", "span-3") for r in records)
+
+        doc = json.loads(json.dumps(chrome_trace(collector)))
+        back = records_from_chrome_trace(doc)
+        assert len(back) == len(records)
+        for orig, new in zip(records, back):
+            assert abs(new.start_s - orig.start_s) <= 1e-12
+            assert abs(new.end_s - orig.end_s) <= 1e-12
+            assert dataclasses.replace(new, start_s=orig.start_s, end_s=orig.end_s) == orig
 
     def test_summary_csv_reconciles(self, profiled_run):
         graph, _, collector, result = profiled_run

@@ -7,6 +7,18 @@ from hypothesis import strategies as st
 
 from repro.graph.builder import GraphBuilder
 from repro.graph.tensorspec import TensorSpec
+from repro.profiling import DeviceObserver
+
+
+class TaskCapture(DeviceObserver):
+    """Keeps every submitted Task, for tests that inspect the tasks
+    themselves (the device keeps none)."""
+
+    def __init__(self) -> None:
+        self.tasks = []
+
+    def on_task_submit(self, device, task, delta) -> None:
+        self.tasks.append(task)
 
 
 def small_chain_graph(size: int = 48, channels: int = 3, name: str = "chain"):
