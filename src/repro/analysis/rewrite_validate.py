@@ -25,6 +25,12 @@ claim holds:
   resolve to the same producers as before (``rewrite.op-changed``,
   ``rewrite.dataflow``, ``rewrite.weights-changed``,
   ``rewrite.weights-not-shared``);
+* **weight provenance** -- rewrites read shapes only, so weights may be
+  unmaterialized on both sides.  Then each weight obligation checks the
+  rewritten graph's ``weight_source`` instead of values: a host must carry
+  exactly its chain in stage order, a survivor exactly itself, and no merge
+  may join unmaterialized weight-bearing twins (each would draw its own
+  values);
 * **convexity** -- the planner still produces convex subgraphs on the
   rewritten graph (``rewrite.convexity``, re-using the plan verifier's
   ancestor/descendant intersection argument);
@@ -46,7 +52,7 @@ import numpy as np
 from repro.analysis.diagnostics import AnalysisReport, Diagnostic, Severity
 from repro.errors import ReproError
 from repro.graph.ir import Graph, Node
-from repro.graph.ops import BatchNorm, Bias, FusedOp, OpSpec, Pool
+from repro.graph.ops import BatchNorm, Bias, FusedOp, OpSpec, Pool, flatten_stages
 
 if TYPE_CHECKING:
     from repro.graph.tensorspec import TensorSpec
@@ -219,6 +225,28 @@ def _same_weight_values(a: dict, b: dict) -> bool:
     return all(w is b[k] or np.array_equal(w, b[k]) for k, w in a.items())
 
 
+def _check_provenance(ctx: _Context, node: Node, expected: tuple[int, ...],
+                      code: str, what: str) -> None:
+    """``node``'s weights are unmaterialized: it must carry exactly the
+    source nodes ``expected`` (ids in ``before``), in stage order."""
+    source = ctx.after.weight_source
+    carried = (source[1].get(node.node_id)
+               if source is not None and source[0] is ctx.before else None)
+    if carried == expected:
+        return
+
+    def names(ids: tuple[int, ...] | None) -> list[str] | None:
+        if ids is None:
+            return None
+        return [ctx.before.node(i).name if 0 <= i < len(ctx.before) else f"#{i}"
+                for i in ids]
+
+    ctx.diag(code,
+             f"{what} has unmaterialized weights carrying {names(carried)} "
+             f"from the source graph, expected {names(expected)}",
+             node_id=node.node_id)
+
+
 def _check_removals(ctx: _Context) -> None:
     live = _live_ids(ctx.before)
     # (a) every node that disappeared must carry a justification.
@@ -302,6 +330,12 @@ def _check_merge(ctx: _Context, entry: "RemovedNode", node: Node) -> None:
                  f"layouts differ ({node.spec} vs {twin.spec})",
                  node_id=node.node_id)
         return
+    if ctx.before.unmaterialized(node) or ctx.before.unmaterialized(twin):
+        ctx.diag("rewrite.merge-mismatch",
+                 f"node {entry.name!r} was merged into {twin.name!r} but their "
+                 f"weights are unmaterialized (each would draw its own values)",
+                 node_id=node.node_id)
+        return
     if not _same_weight_values(twin.weights, node.weights):
         ctx.diag("rewrite.merge-mismatch",
                  f"node {entry.name!r} was merged into {twin.name!r} but their "
@@ -317,12 +351,6 @@ def _check_merge(ctx: _Context, entry: "RemovedNode", node: Node) -> None:
 
 
 # -- fusions -----------------------------------------------------------------
-def _chain_stage_split(node: Node) -> tuple[tuple[OpSpec, ...], list[dict]]:
-    if isinstance(node.op, FusedOp):
-        return node.op.stages, node.op.split_weights(node.weights)
-    return (node.op,), [dict(node.weights)]
-
-
 def _check_fusions(ctx: _Context) -> None:
     output_ids = {n.node_id for n in ctx.before.output_nodes}
     for host_name, sources in ctx.rewrite.fused.items():
@@ -367,12 +395,8 @@ def _check_fusions(ctx: _Context) -> None:
         if not chain_ok:
             continue
         # The host's stage pipeline must be exactly the flattened chain.
-        expected_stages: tuple[OpSpec, ...] = ()
-        expected_weights: list[dict] = []
-        for member in members:
-            stages, weights = _chain_stage_split(member)
-            expected_stages = expected_stages + stages
-            expected_weights.extend(weights)
+        expected_stages: tuple[OpSpec, ...] = tuple(
+            s for m in members for s in flatten_stages(m.op))
         if host.op.stages != expected_stages:
             ctx.diag("rewrite.fused-chain",
                      f"host {host_name!r} computes stage pipeline "
@@ -380,8 +404,12 @@ def _check_fusions(ctx: _Context) -> None:
                      f"chain flattens to {[s.kind for s in expected_stages]}",
                      node_id=host.node_id)
             continue
-        expected = FusedOp.join_weights(expected_weights)
-        if not _same_weight_values(expected, host.weights):
+        member_ids = tuple(m.node_id for m in members)
+        if ctx.after.unmaterialized(host):
+            _check_provenance(ctx, host, member_ids, "rewrite.fused-weights",
+                              f"host {host_name!r}")
+        elif not _same_weight_values(ctx.before.carried_weights(member_ids),
+                                     host.weights):
             ctx.diag("rewrite.fused-weights",
                      f"host {host_name!r} weights do not match the absorbed "
                      f"chain's weights", node_id=host.node_id)
@@ -423,7 +451,12 @@ def _check_dataflow(ctx: _Context) -> None:
                      f"node {node.name!r} reads {actual}, expected {expected} "
                      f"(its original producers after removal resolution)",
                      node_id=node.node_id)
-        if ctx.shares_weights:
+        if ctx.after.unmaterialized(node):
+            _check_provenance(ctx, node, (original.node_id,),
+                              "rewrite.weights-not-shared" if ctx.shares_weights
+                              else "rewrite.weights-changed",
+                              f"node {node.name!r}")
+        elif ctx.shares_weights:
             if (node.weights.keys() != original.weights.keys()
                     or any(node.weights[k] is not original.weights[k]
                            for k in original.weights)):

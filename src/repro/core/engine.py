@@ -202,7 +202,9 @@ class BrickDLEngine:
         and swaps in the rewritten graph.  Every rule application is
         translation-validated -- statically always, and differentially
         (original vs rewritten through the reference executor) in strict
-        mode -- and an unsound rewrite aborts compilation.
+        mode -- and an unsound rewrite aborts compilation.  Rewriting reads
+        shapes only: weights follow the rewrite's provenance and materialize
+        when a functional run needs them (``Graph.init_weights``).
         """
         if optimize:
             self._optimize_graph(rules)

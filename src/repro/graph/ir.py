@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.errors import GraphError, ShapeError
-from repro.graph.ops import InputOp, OpSpec
+from repro.graph.ops import FusedOp, InputOp, OpSpec
 from repro.graph.tensorspec import TensorSpec
 
 __all__ = ["Node", "Graph"]
@@ -42,7 +42,10 @@ class Node:
     spec:
         Inferred output tensor spec.
     weights:
-        Materialized weight arrays (empty until ``Graph.init_weights``).
+        Materialized weight arrays.  Empty for weightless ops, and for a
+        weight-bearing op until ``Graph.init_weights`` fills it; a rewritten
+        graph's nodes may stay empty while ``Graph.weight_source`` records
+        whose weights they carry.
     """
 
     node_id: int
@@ -66,6 +69,11 @@ class Graph:
     Nodes are appended via :meth:`add`; because inputs must already exist,
     node ids are always a valid topological order.  The graph tracks consumer
     lists so reverse traversals (BrickDL's static analysis) are O(V+E).
+
+    ``weight_source`` is set by graph rewrites that leave weights
+    unmaterialized: ``(source graph, {node id: source node ids})``, each
+    node carrying the weights of its source nodes in stage order.
+    :meth:`init_weights` resolves and then drops it.
     """
 
     def __init__(self, name: str = "graph") -> None:
@@ -74,6 +82,7 @@ class Graph:
         self._by_name: dict[str, Node] = {}
         self._consumers: list[list[int]] = []
         self._outputs: list[int] = []
+        self.weight_source: tuple[Graph, dict[int, tuple[int, ...]]] | None = None
 
     # -- construction -------------------------------------------------------
     def add(self, op: OpSpec, inputs: Sequence[Node | int] = (), name: str | None = None) -> Node:
@@ -145,16 +154,49 @@ class Graph:
 
     # -- weights ---------------------------------------------------------------
     def init_weights(self, seed: int = 0) -> None:
-        """Materialize deterministic weights for every node (idempotent)."""
+        """Materialize deterministic weights for every node (idempotent).
+
+        A graph with a ``weight_source`` first materializes the source --
+        so one RNG stream runs in the source's node order, whatever the
+        rewrites changed -- and fills each empty node with the weights of
+        the source nodes it carries, sharing the arrays.  Nodes left empty
+        draw from ``seed`` in node order.
+        """
+        if self.weight_source is not None:
+            source, carried = self.weight_source
+            source.init_weights(seed)
+            for node in self._nodes:
+                ids = carried.get(node.node_id)
+                if ids and not node.weights:
+                    node.weights = source.carried_weights(ids)
+            self.weight_source = None
         rng = np.random.default_rng(seed)
         for node in self._nodes:
             if not node.weights:
                 input_specs = [self._nodes[i].spec for i in node.inputs]
                 node.weights = node.op.init_weights(input_specs, rng)
 
+    def carried_weights(self, node_ids: Sequence[int]) -> dict[str, np.ndarray]:
+        """The weight dict of a node computing the stages of ``node_ids`` in
+        order: their per-stage dicts joined, arrays shared (a fresh dict)."""
+        stages: list[dict[str, np.ndarray]] = []
+        for node in (self._nodes[i] for i in node_ids):
+            if isinstance(node.op, FusedOp):
+                stages.extend(node.op.split_weights(node.weights))
+            else:
+                stages.append(node.weights)
+        return FusedOp.join_weights(stages)
+
+    def unmaterialized(self, node: Node) -> bool:
+        """Whether ``node``'s op bears weights that are not materialized."""
+        if node.weights:
+            return False
+        return bool(node.op.weight_shapes([self._nodes[i].spec for i in node.inputs]))
+
     def weight_bytes(self) -> int:
-        """Total parameter footprint in bytes (weights must be initialized)."""
-        return sum(w.nbytes for n in self._nodes for w in n.weights.values())
+        """Total parameter footprint in bytes, from shapes alone (float32)."""
+        return sum(n.op.weight_bytes([self._nodes[i].spec for i in n.inputs])
+                   for n in self._nodes)
 
     # -- analysis helpers --------------------------------------------------------
     def structural_errors(self) -> list[GraphError]:

@@ -99,10 +99,17 @@ def graph_from_dict(d: dict) -> Graph:
 
 
 def save_graph(graph: Graph, path: str | pathlib.Path, weights: bool = True) -> None:
-    """Write ``<path>`` (JSON) and, if requested, ``<path>.npz`` weights."""
+    """Write ``<path>`` (JSON) and, if requested, ``<path>.npz`` weights.
+
+    A rewritten graph whose weights are still unmaterialized resolves them
+    first: a reloaded graph has no provenance, and would otherwise redraw
+    its weights in its own node order.
+    """
     path = pathlib.Path(path)
     path.write_text(json.dumps(graph_to_dict(graph), indent=1))
     if weights:
+        if graph.weight_source is not None:
+            graph.init_weights()
         arrays = {
             f"{n.name}/{key}": w
             for n in graph.nodes for key, w in n.weights.items()

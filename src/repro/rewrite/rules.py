@@ -1,8 +1,9 @@
 """The seed rewrite rules.
 
-Every rule rebuilds through one helper (:func:`_rebuild`) and one audited
-weight clone (:func:`repro.graph.transforms.clone_weights`), and returns
-full provenance for the translation validator.  The fusion rules build
+Every rule rebuilds through one helper (:func:`_rebuild`), which also
+carries the weights: no rule materializes or joins weights itself, so
+rewriting reads shapes only.  Each rule returns full provenance for the
+translation validator.  The fusion rules build
 :class:`~repro.graph.ops.FusedOp` hosts, which execute the *exact same
 kernels in the same order* as the unfused nodes -- fusion here is a graph
 / planning change, not a numerical one, so the bit-identity obligation is
@@ -32,7 +33,7 @@ import numpy as np
 from repro.errors import ReproError
 from repro.graph.ir import Graph, Node
 from repro.graph.ops import BatchNorm, Bias, Conv, FusedOp, OpSpec, Pool, flatten_stages
-from repro.graph.transforms import clone_weights
+from repro.graph.tensorspec import TensorSpec
 from repro.rewrite.rule import RemovedNode, Rewrite, Rule
 
 __all__ = [
@@ -50,16 +51,26 @@ def _rebuild(
     graph: Graph,
     drop: frozenset | set = frozenset(),
     forward: dict[int, int] | None = None,
-    replace: dict[int, tuple[OpSpec, dict, tuple[int, ...]]] | None = None,
+    replace: dict[int, tuple[OpSpec, tuple[int, ...]]] | None = None,
+    batch: int | None = None,
 ) -> Graph:
     """Rebuild ``graph`` dropping ``drop``, redirecting consumers of
     ``forward`` keys to their values (old-graph ids, chased transitively),
-    and substituting ``replace`` entries ``(op, weights, old_input_ids)``
-    in place of the keyed nodes (same name, new op)."""
+    substituting ``replace`` entries ``(op, members)`` in place of the keyed
+    nodes (same name, new op computing the old ``members`` in stage order,
+    reading the first member's inputs), and setting every input's batch to
+    ``batch`` when given.
+
+    Each new node carries the weights of its members (a survivor: its own).
+    Materialized weights propagate now, arrays shared; otherwise the result
+    records the provenance as ``weight_source`` and ``Graph.init_weights``
+    resolves it when a run needs values."""
     forward = forward or {}
     replace = replace or {}
     out = Graph(graph.name)
     mapping: dict[int, Node] = {}
+    carried: dict[int, tuple[int, ...]] = {}
+    pending = False
 
     def resolve(old_id: int) -> Node:
         while old_id in forward:
@@ -70,18 +81,24 @@ def _rebuild(
         if node.node_id in drop or node.node_id in forward:
             continue
         if node.is_input:
-            new = out.input(node.spec, name=node.name)
-        elif node.node_id in replace:
-            op, weights, old_inputs = replace[node.node_id]
-            new = out.add(op, [resolve(i) for i in old_inputs], name=node.name)
-            new.weights = dict(weights)
+            spec = node.spec if batch is None else TensorSpec(
+                batch, node.spec.channels, node.spec.spatial, node.spec.dtype)
+            new = out.input(spec, name=node.name)
         else:
-            new = out.add(node.op, [resolve(i) for i in node.inputs], name=node.name)
-            new.weights = clone_weights(node)
+            op, members = replace.get(node.node_id, (node.op, (node.node_id,)))
+            head = graph.node(members[0])
+            new = out.add(op, [resolve(i) for i in head.inputs], name=node.name)
+            carried[new.node_id] = members
+            if any(graph.unmaterialized(graph.node(m)) for m in members):
+                pending = True
+            else:
+                new.weights = graph.carried_weights(members)
         mapping[node.node_id] = new
     for o in graph.output_nodes:
         out.mark_output(resolve(o.node_id))
     out.validate()
+    if pending:
+        out.weight_source = (graph, carried)
     return out
 
 
@@ -103,13 +120,6 @@ def _same_weights(a: dict[str, np.ndarray], b: dict[str, np.ndarray]) -> bool:
     return all(w is b[k] or np.array_equal(w, b[k]) for k, w in a.items())
 
 
-def _stage_split(node: Node) -> tuple[tuple[OpSpec, ...], list[dict[str, np.ndarray]]]:
-    """A node's plain-op pipeline and the matching per-stage weight dicts."""
-    if isinstance(node.op, FusedOp):
-        return node.op.stages, node.op.split_weights(node.weights)
-    return (node.op,), [dict(node.weights)]
-
-
 class FoldConvBatchNorm(Rule):
     """Fold a BatchNorm/Bias into its sole-producing convolution.
 
@@ -122,11 +132,10 @@ class FoldConvBatchNorm(Rule):
     name = "fold-conv-bn"
 
     def apply(self, graph: Graph) -> Rewrite | None:
-        graph.init_weights()
         output_ids = {n.node_id for n in graph.output_nodes}
         claimed: set[int] = set()
         forward: dict[int, int] = {}
-        replace: dict[int, tuple[OpSpec, dict, tuple[int, ...]]] = {}
+        replace: dict[int, tuple[OpSpec, tuple[int, ...]]] = {}
         removed: list[RemovedNode] = []
         fused: dict[str, tuple[str, ...]] = {}
         for node in graph.nodes:
@@ -140,14 +149,9 @@ class FoldConvBatchNorm(Rule):
                 continue
             if pred.node_id in output_ids or pred.node_id in claimed:
                 continue
-            stages, stage_weights = _stage_split(pred)
-            stages = stages + (node.op,)
-            stage_weights.append(dict(node.weights))
-            replace[node.node_id] = (
-                FusedOp(stages[0], stages[1:]),
-                FusedOp.join_weights(stage_weights),
-                pred.inputs,
-            )
+            stages = flatten_stages(pred.op) + (node.op,)
+            replace[node.node_id] = (FusedOp(stages[0], stages[1:]),
+                                     (pred.node_id, node.node_id))
             forward[pred.node_id] = node.node_id
             removed.append(RemovedNode(pred.name, "fused", into=node.name))
             fused[node.name] = (pred.name, node.name)
@@ -174,7 +178,7 @@ class FusePointwiseChains(Rule):
         output_ids = {n.node_id for n in graph.output_nodes}
         claimed: set[int] = set()
         forward: dict[int, int] = {}
-        replace: dict[int, tuple[OpSpec, dict, tuple[int, ...]]] = {}
+        replace: dict[int, tuple[OpSpec, tuple[int, ...]]] = {}
         removed: list[RemovedNode] = []
         fused: dict[str, tuple[str, ...]] = {}
         for node in graph.nodes:
@@ -193,18 +197,10 @@ class FusePointwiseChains(Rule):
                 current = nxt
             if len(chain) < 2:
                 continue
-            stages: tuple[OpSpec, ...] = ()
-            stage_weights: list[dict[str, np.ndarray]] = []
-            for member in chain:
-                s, w = _stage_split(member)
-                stages = stages + s
-                stage_weights.extend(w)
+            stages = tuple(s for m in chain for s in flatten_stages(m.op))
             host = chain[-1]
-            replace[host.node_id] = (
-                FusedOp(stages[0], stages[1:]),
-                FusedOp.join_weights(stage_weights),
-                chain[0].inputs,
-            )
+            replace[host.node_id] = (FusedOp(stages[0], stages[1:]),
+                                     tuple(m.node_id for m in chain))
             for member in chain[:-1]:
                 forward[member.node_id] = host.node_id
                 removed.append(RemovedNode(member.name, "fused", into=host.name))
@@ -280,12 +276,13 @@ class PruneIdentityOps(Rule):
 
 class LayoutAwareCSE(Rule):
     """Merge twin nodes: identical op, resolved inputs, weights, *and*
-    output layout (TensorSpec).  Graph inputs and outputs never merge."""
+    output layout (TensorSpec).  Graph inputs and outputs never merge, nor
+    do weight-bearing nodes whose weights are unmaterialized: each would
+    draw its own values."""
 
     name = "cse"
 
     def apply(self, graph: Graph) -> Rewrite | None:
-        graph.init_weights()
         output_ids = {n.node_id for n in graph.output_nodes}
         seen: dict = {}
         forward: dict[int, int] = {}
@@ -298,7 +295,9 @@ class LayoutAwareCSE(Rule):
             prior = seen.get(key)
             if prior is not None:
                 twin = graph.node(prior)
-                if twin.spec == node.spec and _same_weights(twin.weights, node.weights):
+                if (twin.spec == node.spec and not graph.unmaterialized(node)
+                        and not graph.unmaterialized(twin)
+                        and _same_weights(twin.weights, node.weights)):
                     forward[node.node_id] = prior
                     removed.append(RemovedNode(node.name, "merged", into=twin.name))
                     continue
@@ -312,11 +311,13 @@ class LayoutAwareCSE(Rule):
 
 class RebatchRule(Rule):
     """Rescale every graph input's batch dimension (the ported
-    ``rebatch_graph``).  All downstream specs re-infer; weight *arrays* are
-    shared with the source graph through the audited clone helper -- the
-    obligation (``shares_weights``) the validator checks by object
+    ``rebatch_graph``).  All downstream specs re-infer; each node carries
+    its own weights, so weight *arrays* are shared with the source graph --
+    the obligation (``shares_weights``) the validator checks by object
     identity, because value-equal copies would silently double memory and
-    break the serving layer's bit-identity argument."""
+    break the serving layer's bit-identity argument.  Unmaterialized
+    weights keep their identity provenance, so a rebatched graph resolves
+    to the same arrays as its source."""
 
     name = "rebatch"
     shares_weights = True
@@ -329,23 +330,7 @@ class RebatchRule(Rule):
     def apply(self, graph: Graph) -> Rewrite | None:
         if all(n.spec.batch == self.batch for n in graph.input_nodes):
             return None
-        from repro.graph.tensorspec import TensorSpec
-
-        out = Graph(graph.name)
-        mapping: dict[int, Node] = {}
-        for node in graph.nodes:
-            if node.is_input:
-                spec = TensorSpec(self.batch, node.spec.channels,
-                                  node.spec.spatial, node.spec.dtype)
-                new = out.input(spec, name=node.name)
-            else:
-                new = out.add(node.op, [mapping[i] for i in node.inputs], name=node.name)
-                new.weights = clone_weights(node)
-            mapping[node.node_id] = new
-        for o in graph.output_nodes:
-            out.mark_output(mapping[o.node_id])
-        out.validate()
-        return Rewrite(self.name, out, batch=self.batch,
+        return Rewrite(self.name, _rebuild(graph, batch=self.batch), batch=self.batch,
                        detail=f"rebatched interface to {self.batch} sample(s)")
 
 

@@ -28,6 +28,13 @@ class TestConstruction:
         g = build(name, reduced=True)
         g.validate()
 
+    @pytest.mark.parametrize("name", ALL)
+    def test_analytic_weight_bytes_match_materialized(self, name):
+        g = build(name, reduced=True)
+        analytic = g.weight_bytes()
+        g.init_weights()
+        assert analytic == sum(w.nbytes for n in g.nodes for w in n.weights.values())
+
     def test_unknown_model(self):
         with pytest.raises(ReproError):
             build("alexnet")

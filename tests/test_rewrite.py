@@ -3,7 +3,8 @@
 Covers the seed rules' behavior (including the bit-identity contract the
 FusedOp design buys), the runner, the rebatch weight-sharing regression,
 one injected-unsound mutant per seed rule that the validator must provably
-reject, the resnet50 acceptance scenario (node count down, outputs
+reject (plus three weight-provenance mutants on an unmaterialized graph),
+weight-free optimized compiles, the resnet50 acceptance scenario (node count down, outputs
 bit-identical, manifests recorded with the DRAM-traffic delta), and a
 hypothesis property: random rule sequences on the random-DAG corpus keep
 reference outputs bit-identical and survive serialize round-trips.
@@ -395,6 +396,133 @@ class TestMutantsAreRejected:
         assert validate_rewrite(g, good, RebatchRule(2)).ok
 
 
+# -- mutants on unmaterialized graphs: the provenance obligations ------------
+def _unmaterialized_graph():
+    g = residual_graph()
+    assert not any(n.weights for n in g.nodes)
+    return g
+
+
+class TestProvenanceMutantsAreRejected:
+    def test_honest_rules_pass_without_weights(self):
+        g = _unmaterialized_graph()
+        for rule in (FoldConvBatchNorm(), FusePointwiseChains(), RebatchRule(2)):
+            rw = rule.apply(g)
+            assert rw.graph.weight_source is not None
+            report = validate_rewrite(g, rw, rule)
+            assert report.ok, [d.render() for d in report.errors]
+        assert not any(n.weights for n in g.nodes)
+
+    def test_fold_mutant_reversing_stage_provenance(self):
+        g = _unmaterialized_graph()
+
+        class BadFold(FoldConvBatchNorm):
+            def apply(self, graph):
+                rw = super().apply(graph)
+                host = rw.graph.node(next(iter(rw.fused)))
+                carried = rw.graph.weight_source[1]
+                carried[host.node_id] = carried[host.node_id][::-1]
+                return rw
+
+        report = validate_rewrite(g, BadFold().apply(g), BadFold())
+        assert _codes(report) == {"rewrite.fused-weights"}
+
+    def test_cse_mutant_merging_unmaterialized_twins(self):
+        # Two same-op convs on one input: equal in everything but their
+        # (not yet drawn) weights, which random init makes differ.
+        g = _unmaterialized_graph()
+        g.mark_output(g.output_nodes[0])
+        a = g.node("b2/conv1")
+        twin = g.add(a.op, a.inputs, name="b2/conv1_twin")
+        assert LayoutAwareCSE().apply(g) is None
+
+        class BadCSE(LayoutAwareCSE):
+            def apply(self, graph):
+                return Rewrite(
+                    self.name,
+                    _rebuild(graph, forward={twin.node_id: a.node_id}),
+                    removed=(RemovedNode(twin.name, "merged", into=a.name),))
+
+        report = validate_rewrite(g, BadCSE().apply(g), BadCSE())
+        assert _codes(report) == {"rewrite.merge-mismatch"}
+
+    def test_rebatch_mutant_dropping_provenance(self):
+        g = _unmaterialized_graph()
+
+        class BadRebatch(RebatchRule):
+            def apply(self, graph):
+                rw = super().apply(graph)
+                rw.graph.weight_source = None
+                return rw
+
+        report = validate_rewrite(g, BadRebatch(2).apply(g), BadRebatch(2))
+        assert _codes(report) == {"rewrite.weights-not-shared"}
+
+
+# -- weight-free compile --------------------------------------------------------
+def _pointwise_chain_graph():
+    """conv -> pool -> bn -> relu -> conv: the bn+relu run fuses."""
+    b = GraphBuilder("pwchain", TensorSpec(1, 3, (32, 32)))
+    b.conv(8, 3, padding=1, name="conv_a")
+    b.maxpool(2, name="pool")
+    b.batchnorm(name="bn")
+    b.relu(name="relu")
+    b.conv(8, 3, padding=1, name="conv_b")
+    b.classifier(10)
+    return b.graph
+
+
+class TestWeightFreeCompile:
+    @pytest.mark.parametrize("name", ["vgg16", "resnet50"])
+    def test_full_scale_compile_materializes_nothing(self, name):
+        from repro.core.engine import BrickDLEngine
+        from repro.models import zoo
+
+        g = zoo.build(name)
+        engine = BrickDLEngine(g)
+        engine.compile(optimize=True)
+        assert engine.rewrite_report.ok
+        assert not any(n.weights for n in g.nodes)
+        assert not any(n.weights for n in engine.graph.nodes)
+
+    @pytest.mark.parametrize("name", ["resnet50", "mobilenet_v1", "pointwise_chain"])
+    def test_lazy_outputs_equal_eager(self, name):
+        from repro.core.engine import BrickDLEngine
+        from repro.models import zoo
+
+        outputs = []
+        for eager in (False, True):
+            g = (_pointwise_chain_graph() if name == "pointwise_chain"
+                 else zoo.build(name, reduced=True))
+            if eager:
+                g.init_weights()
+            engine = BrickDLEngine(g)
+            engine.compile(optimize=True)
+            assert engine.rewrite_report.steps  # some rule fired
+            outputs.append(engine.run(input_for(g)).outputs)
+        lazy, eager = outputs
+        assert lazy.keys() == eager.keys()
+        for key in eager:
+            assert np.array_equal(lazy[key], eager[key]), key
+
+    def test_for_batch_shares_arrays_after_lazy_rewrite(self):
+        from repro.core.engine import BrickDLEngine
+
+        engine = BrickDLEngine(small_chain_graph())
+        engine.compile(optimize=True)
+        batched = engine.for_batch(2)
+        batched.graph.init_weights()
+        assert engine.graph.weight_source is None  # resolved through the batch-2 graph
+        shared = 0
+        for node in engine.graph.nodes:
+            twin = batched.graph.node(node.name)
+            assert twin.weights.keys() == node.weights.keys()
+            for key, array in node.weights.items():
+                assert twin.weights[key] is array
+                shared += 1
+        assert shared
+
+
 # -- serialization ------------------------------------------------------------
 class TestFusedOpSerialization:
     def test_fused_graph_roundtrips_with_weights(self, tmp_path):
@@ -409,6 +537,17 @@ class TestFusedOpSerialization:
         # Structure-only round-trip too (what the linter checks).
         rebuilt = graph_from_dict(graph_to_dict(report.graph))
         assert [n.op for n in rebuilt.nodes] == [n.op for n in report.graph.nodes]
+
+    def test_unmaterialized_rewrite_saves_its_values(self, tmp_path):
+        # The reloaded graph has no provenance: save must resolve it first,
+        # or loading would redraw weights in the rewritten node order.
+        report = RuleRunner(default_batches()).run(small_chain_graph())
+        assert report.graph.weight_source is not None
+        path = tmp_path / "lazy.json"
+        save_graph(report.graph, path)
+        loaded = load_graph(path)
+        assert report.graph.weight_source is None
+        assert_bit_identical(report.graph, loaded)
 
 
 # -- acceptance: resnet50 -----------------------------------------------------
